@@ -1,22 +1,18 @@
 """The mobile world: nodes, positions and proximity queries.
 
-Proximity queries are served by a uniform :class:`~repro.mobility.grid.
-SpatialGrid` so ``nodes_within`` costs O(cell occupancy) instead of
-O(N), and movement is reported *per node* (a :class:`MovementReport`)
-so listeners such as the radio medium can invalidate incrementally
-instead of dropping all memoized topology on every tick.
-
-Setting the environment variable ``REPRO_SPATIAL_INDEX=0`` disables
-the grid and falls back to brute-force linear scans with whole-world
-notifications — kept for A/B benchmarking and as an oracle in tests.
+Proximity queries are always served by a uniform
+:class:`~repro.mobility.grid.SpatialGrid`, so ``nodes_within`` costs
+O(cell occupancy) instead of O(N).  Movement is reported *per node* (a
+:class:`MovementReport`) so listeners such as the radio medium can
+evict only what the movers touch.  The brute-force O(N^2) referee for
+``nodes_within`` lives in the test suite (``tests/oracles.py``), not
+here.
 """
 
 from __future__ import annotations
 
-import os
 from contextlib import contextmanager
-from collections.abc import Callable, Iterator, Sequence
-from typing import Any
+from collections.abc import Callable, Iterator
 
 from repro.mobility.geometry import Point, Rect, distance
 from repro.mobility.grid import SpatialGrid
@@ -47,9 +43,7 @@ class MovementReport:
 
     ``moved`` lists every node whose position changed (``crossed`` is
     the subset that landed in a different grid cell); ``added`` and
-    ``removed`` cover population changes.  Listeners that only care
-    *that* something happened can ignore the payload — the legacy
-    no-argument ``on_movement`` callbacks still fire alongside.
+    ``removed`` cover population changes.
     """
 
     __slots__ = ("moved", "crossed", "added", "removed")
@@ -78,11 +72,6 @@ class MovementReport:
                 f"removed={len(self.removed)})")
 
 
-def spatial_index_enabled() -> bool:
-    """Whether new worlds use the spatial grid (REPRO_SPATIAL_INDEX)."""
-    return os.environ.get("REPRO_SPATIAL_INDEX", "1") != "0"
-
-
 class World:
     """Bounded 2D plane holding every mobile node.
 
@@ -106,21 +95,15 @@ class World:
         self.bounds = bounds if bounds is not None else Rect(0.0, 0.0, 200.0, 200.0)
         self.tick = tick
         self._nodes: dict[str, MobileNode] = {}
-        self._listeners: list[Callable[[], None]] = []
         self._report_listeners: list[Callable[[MovementReport], None]] = []
-        self._grid: SpatialGrid | None = (
-            SpatialGrid(cell_size if cell_size is not None else DEFAULT_CELL_SIZE)
-            if spatial_index_enabled() else None)
+        #: The backing spatial index.
+        self.grid = SpatialGrid(
+            cell_size if cell_size is not None else DEFAULT_CELL_SIZE)
         self._batch_depth = 0
         self._pending: dict[str, set[str]] = {
             "moved": set(), "crossed": set(), "added": set(), "removed": set()}
         self._timer = PeriodicTimer(env, tick, self._advance)
         self._last_tick_time = env.now
-
-    @property
-    def grid(self) -> SpatialGrid | None:
-        """The backing spatial index (``None`` in brute-force mode)."""
-        return self._grid
 
     # -- population -------------------------------------------------------
 
@@ -133,8 +116,7 @@ class World:
             position = self.bounds.clamp(position)
         node = MobileNode(node_id, position, model)
         self._nodes[node_id] = node
-        if self._grid is not None:
-            self._grid.insert(node_id, position)
+        self.grid.insert(node_id, position)
         self._notify(MovementReport(added=(node_id,)))
         return node
 
@@ -143,8 +125,7 @@ class World:
         if node_id not in self._nodes:
             raise KeyError(f"node {node_id!r} not in world")
         del self._nodes[node_id]
-        if self._grid is not None:
-            self._grid.remove(node_id)
+        self.grid.remove(node_id)
         self._notify(MovementReport(removed=(node_id,)))
 
     def node(self, node_id: str) -> MobileNode:
@@ -180,41 +161,15 @@ class World:
         # scan of every device.
         radius_sq = radius * radius
         found = []
-        if self._grid is None:
-            for node in nodes.values():
-                position = node.position
-                dx = position.x - cx
-                dy = position.y - cy
-                if dx * dx + dy * dy <= radius_sq and node.node_id != node_id:
-                    found.append(node)
-        else:
-            for other_id in self._grid.candidates(center, radius):
-                node = nodes[other_id]
-                position = node.position
-                dx = position.x - cx
-                dy = position.y - cy
-                if dx * dx + dy * dy <= radius_sq and other_id != node_id:
-                    found.append(node)
+        for other_id in self.grid.candidates(center, radius):
+            node = nodes[other_id]
+            position = node.position
+            dx = position.x - cx
+            dy = position.y - cy
+            if dx * dx + dy * dy <= radius_sq and other_id != node_id:
+                found.append(node)
         found.sort(key=lambda node: node.node_id)
         return found
-
-    def positions_of(self, ids: Sequence[str]) -> tuple[Any, Any]:
-        """Batch positions into float64 ``(xs, ys)`` arrays, ``ids`` order.
-
-        Vector-sweep support (:mod:`repro.radio.sweep`); requires numpy.
-        """
-        from repro.radio import sweep
-        return sweep.positions_array(self._nodes, ids)
-
-    def region_stamp(self, node_id: str, radius: float) -> tuple[int, ...]:
-        """Change stamp for the disc around ``node_id`` (see grid docs).
-
-        Constant in brute-force mode — callers relying on stamps for
-        cache validity must install a clear-all movement listener there.
-        """
-        if self._grid is None:
-            return (0, 0)
-        return self._grid.region_stamp(self._nodes[node_id].position, radius)
 
     # -- grid maintenance -------------------------------------------------
 
@@ -225,16 +180,9 @@ class World:
         the cell size tracks the largest radio range in use and a
         neighbour query touches a handful of cells.
         """
-        grid = self._grid
-        if grid is None or range_m <= grid.cell_size:
-            return
-        grid.rebuild(range_m, {node_id: node.position
-                               for node_id, node in self._nodes.items()})
-
-    def touch_node(self, node_id: str) -> None:
-        """Mark a node changed without moving it (adapter toggles)."""
-        if self._grid is not None and node_id in self._nodes:
-            self._grid.touch(node_id)
+        if range_m > self.grid.cell_size:
+            self.grid.rebuild(range_m, {node_id: node.position
+                                        for node_id, node in self._nodes.items()})
 
     # -- movement ------------------------------------------------------------
 
@@ -242,15 +190,9 @@ class World:
         """Teleport a node (used by tests and scenario setup)."""
         node = self._nodes[node_id]
         node.position = self.bounds.clamp(position)
-        crossed = True
-        if self._grid is not None:
-            crossed = self._grid.move(node_id, node.position)
+        crossed = self.grid.move(node_id, node.position)
         self._notify(MovementReport(
             moved=(node_id,), crossed=(node_id,) if crossed else ()))
-
-    def on_movement(self, listener: Callable[[], None]) -> None:
-        """Register a callback invoked after every position change."""
-        self._listeners.append(listener)
 
     def on_moves(self, listener: Callable[[MovementReport], None]) -> None:
         """Register a callback receiving per-node movement reports."""
@@ -284,7 +226,7 @@ class World:
         self._last_tick_time = self.env.now
         if dt <= 0.0:
             return
-        grid = self._grid
+        grid = self.grid
         bounds = self.bounds
         moved: list[str] = []
         crossed: list[str] = []
@@ -296,7 +238,7 @@ class World:
             if new_position != node.position:
                 node.position = new_position
                 moved.append(node.node_id)
-                if grid is not None and grid.move(node.node_id, new_position):
+                if grid.move(node.node_id, new_position):
                     crossed.append(node.node_id)
         if moved:
             self._notify(MovementReport(moved=tuple(moved),
@@ -310,8 +252,6 @@ class World:
             pending["added"].update(report.added)
             pending["removed"].update(report.removed)
             return
-        for listener in self._listeners:
-            listener()
         for report_listener in self._report_listeners:
             report_listener(report)
 

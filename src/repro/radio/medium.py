@@ -2,33 +2,35 @@
 
 The medium answers reachability questions: *can device A talk to
 device B over technology T right now?*  For local radios (Bluetooth,
-WLAN ad-hoc) the answer follows from the mobility world's distances and
-each technology's range.  Wide-area technologies (GPRS) are reachable
-whenever both ends have coverage and a gateway is registered.
+WLAN ad-hoc) the answer follows from the mobility world's positions
+and each technology's range.  Wide-area technologies (GPRS) are
+reachable whenever both ends have coverage and a gateway is registered.
 
 Devices attach per-technology *adapters* (a device without a Bluetooth
 adapter is invisible on Bluetooth even when physically near), which
 lets scenarios reproduce the paper's testbed where only some machines
 carried dongles (Table 5).
 
-Invalidation is *incremental*: the world reports which nodes moved per
-tick and the medium drops only the cached distances and reachability
-verdicts involving those nodes (via per-node key indexes), so when one
-node out of a thousand moves the other 999 devices' memoized topology
-stays hot — the previous design cleared everything on any movement,
-which made every tick quadratic at crowd scale.  Cache *hits* stay a
-single dict lookup.  Neighbour listings are validated lazily instead:
-each carries the spatial grid's *region stamp* for the radio disc it
-covers, so a listing survives until somebody inside that disc's cells
-moves, joins, leaves or toggles an adapter.  Adapter power toggles
-invalidate only the owning device's pairs.  When the world runs
-without a spatial grid (``REPRO_SPATIAL_INDEX=0``) the medium falls
-back to the historical clear-everything listeners.
+One range predicate, ``dx*dx + dy*dy <= r*r``, decides "in range" for
+``reachable`` and for both neighbour kernels, so discovery and
+connection agree at the range boundary.  Local-radio neighbour
+listings are computed by one of two kernels, picked by the
+technology's roster size against :data:`VECTOR_SWEEP_MIN_DEVICES`:
+below it the scalar grid query :meth:`World.nodes_within` per device,
+at or above it one numpy :func:`~repro.radio.sweep.sweep_pairs` pass
+for the whole roster (the scalar kernel also serves a roster whose
+sweep table would be too large).  Every local listing is stamped with
+one integer, the topology version, which anything that can change a
+listing bumps: movement, population, adapter attach/detach/power and
+gateways.  Wide-area listings use no geometry and are stamped with
+the (roster epoch, gateway epoch) pair instead.  ``reachable``
+verdicts are memoized per pair and evicted per node, so one mover
+leaves everybody else's verdicts hot.  The brute-force referee for
+all of this lives in the test suite (``tests/oracles.py``).
 """
 
 from __future__ import annotations
 
-import os
 from typing import TYPE_CHECKING
 
 from repro.mobility.world import MovementReport, World
@@ -42,23 +44,6 @@ if TYPE_CHECKING:  # pragma: no cover - layering guard (net builds on radio)
 #: sweep beats per-scan scalar queries.  Below it the numpy dispatch
 #: overhead outweighs the batching win.
 VECTOR_SWEEP_MIN_DEVICES = 256
-
-
-def vector_sweep_enabled() -> bool:
-    """Whether new media may use vectorized sweeps (REPRO_VECTOR_SWEEP)."""
-    return (os.environ.get("REPRO_VECTOR_SWEEP", "1") != "0"
-            and _sweep.available())
-
-
-def _vector_sweep_min() -> int:
-    """Roster threshold, overridable for tests (REPRO_VECTOR_SWEEP_MIN)."""
-    raw = os.environ.get("REPRO_VECTOR_SWEEP_MIN")
-    if raw is None:
-        return VECTOR_SWEEP_MIN_DEVICES
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return VECTOR_SWEEP_MIN_DEVICES
 
 
 class NotReachableError(ConnectionError):
@@ -118,61 +103,44 @@ class Medium:
         self._world_nodes = world._nodes
         self._adapters: dict[tuple[str, str], Adapter] = {}
         #: Device ids per technology name — the roster wide-area
-        #: listings enumerate (local listings go through the grid).
-        #: Insertion-ordered dict-as-set so ``detach`` is O(1); a list
-        #: remove is O(roster) and shard-border ghost churn detaches
-        #: constantly at 100k-device scale.
+        #: listings enumerate and sweeps batch.  Insertion-ordered
+        #: dict-as-set so ``detach`` is O(1); a list remove is
+        #: O(roster) and shard-border ghost churn detaches constantly
+        #: at 100k-device scale.
         self._by_technology: dict[str, dict[str, None]] = {}
-        #: Technology names each device holds adapters for — lets
-        #: per-node invalidation find the device's neighbour listings
-        #: without scanning the full adapter registry.
-        self._techs_of: dict[str, list[str]] = {}
         self._gateways: set[str] = set()
-        #: Pairwise distances memoized until either endpoint moves.
-        self._distances: dict[tuple[str, str], float] = {}
         #: Memoized ``reachable`` verdicts, evicted per endpoint.
         self._reachable_cache: dict[tuple[str, str, str], bool] = {}
-        #: node id -> cache keys involving it, for targeted eviction.
+        #: node id -> verdict keys involving it, for targeted eviction.
         #: Sets may hold keys already evicted via the other endpoint;
         #: eviction tolerates misses, and re-derived entries re-add
-        #: their key, so the indexes stay bounded by the live pair set.
-        self._dist_index: dict[str, set[tuple[str, str]]] = {}
+        #: their key, so the index stays bounded by the live pair set.
         self._reach_index: dict[str, set[tuple[str, str, str]]] = {}
-        #: (device, tech) -> (listing, stamp).  Scalar entries pair a
-        #: materialized listing with the grid region stamp of the radio
-        #: disc (local radios) or the (roster epoch, gateway epoch)
-        #: tuple (wide-area).  Vector-sweep entries pair a (start, end)
-        #: span into ``_sweep_flat`` with the topology-version *int* —
-        #: an int never equals a tuple stamp, so entries from one
-        #: regime are always treated as stale by the other.
-        self._neighbors_cache: dict[tuple[str, str],
-                                    tuple[list[str] | tuple[int, int],
-                                          tuple[int, ...] | int]] = {}
+        #: (device, tech) -> (flat, start, end, stamp); the listing is
+        #: ``flat[start:end]``.  Scalar listings own their flat list,
+        #: sweep listings slice one list shared by the whole roster.
+        #: The stamp is the topology version (local radios) or the
+        #: (roster epoch, gateway epoch) pair (wide-area).
+        self._neighbors_cache: dict[
+            tuple[str, str],
+            tuple[list[str], int, int, int | tuple[int, int]]] = {}
         #: Per-technology roster change counter (attach/detach/power
         #: toggles) — validates wide-area neighbour listings.
         self._tech_epoch: dict[str, int] = {}
         self._gateway_epoch = 0
-        #: With a spatial grid, region stamps + per-node eviction carry
-        #: invalidation; without one, clear-everything listeners do.
-        self._incremental = world.grid is not None
         #: Monotone counter covering *anything* that can change a
-        #: neighbour listing: movement, population, adapter power,
-        #: gateways.  Listings computed by a vectorized sweep are
-        #: stamped with it, so validating one costs a single integer
-        #: compare instead of a region-stamp walk.
+        #: local-radio listing: movement, population, adapter power,
+        #: gateways.
         self._topology_version = 0
-        #: Vectorized sweeps need the grid (for cell geometry) and
-        #: numpy; ``REPRO_VECTOR_SWEEP=0`` forces the scalar path.
-        self._vector = self._incremental and vector_sweep_enabled()
-        self._vector_min = _vector_sweep_min()
-        #: tech -> flat neighbour-id list the sweep entries slice into.
-        self._sweep_flat: dict[str, list[str]] = {}
+        #: Roster size at which the sweep kernel takes over; tests set
+        #: it to force one kernel or the other.
+        self._vector_min = VECTOR_SWEEP_MIN_DEVICES
+        #: tech -> topology version whose sweep was declined (dense
+        #: cell table over the cap); the scalar kernel serves it.
+        self._sweep_declined: dict[str, int] = {}
         #: tech -> (roster epoch, sorted roster ids) memo for sweeps.
         self._sorted_roster: dict[str, tuple[int, list[str]]] = {}
-        if self._incremental:
-            world.on_moves(self._apply_report)
-        else:
-            world.on_movement(self._invalidate_positions)
+        world.on_moves(self._apply_report)
         #: Optional installed :class:`~repro.net.faults.FaultInjector`;
         #: stacks and connections consult it at setup and send time.
         self.faults: FaultInjector | None = None
@@ -180,81 +148,37 @@ class Medium:
     # -- invalidation ----------------------------------------------------
 
     def _evict_node(self, node_id: str) -> None:
-        """Drop every cached distance/verdict involving ``node_id``."""
+        """Drop every cached verdict involving ``node_id``."""
         keys = self._reach_index.pop(node_id, None)
         if keys:
             cache = self._reachable_cache
             for key in keys:
                 cache.pop(key, None)
-        pair_keys = self._dist_index.pop(node_id, None)
-        if pair_keys:
-            distances = self._distances
-            for key in pair_keys:
-                distances.pop(key, None)
 
     def _apply_report(self, report: MovementReport) -> None:
         """Movement listener: evict only what the movers invalidate.
 
-        Neighbour listings need no work here — the grid bumped the
-        movers' cell epochs, so any listing whose disc covers them
-        fails its region-stamp check on next read.
+        Neighbour listings need no work here — the version bump makes
+        every local listing stale on its next read.
         """
         self._topology_version += 1
         for node_id in report.changed_ids():
             self._evict_node(node_id)
 
-    def _invalidate_positions(self) -> None:
-        """Brute-force-mode movement listener: drop position-derived
-        caches (distances, reachability, neighbour listings)."""
-        self._topology_version += 1
-        self._distances.clear()
-        self._reachable_cache.clear()
-        self._neighbors_cache.clear()
-        self._dist_index.clear()
-        self._reach_index.clear()
-
     def _adapter_changed(self, device_id: str, technology_name: str) -> None:
         """One device's adapter set or power state changed.
 
         Only pairs involving ``device_id`` can have changed: evict its
-        verdicts, stamp its grid cell (so listings whose disc covers it
-        re-derive) and bump the technology's roster epoch (wide-area
-        listings).  Its memoized *distances* stay valid — radios do not
-        move the device.
+        verdicts and its own listing (a sweep listing would pin the
+        sweep's flat list while the radio is off), and bump the
+        topology version (local listings) and the technology's roster
+        epoch (wide-area listings).
         """
         self._topology_version += 1
         self._tech_epoch[technology_name] = \
             self._tech_epoch.get(technology_name, 0) + 1
-        if self._incremental:
-            keys = self._reach_index.pop(device_id, None)
-            if keys:
-                cache = self._reachable_cache
-                for key in keys:
-                    cache.pop(key, None)
-            self.world.touch_node(device_id)
-        else:
-            # Without per-node indexes or region stamps there is no way
-            # to know which verdicts/listings involve this device —
-            # drop them all (the historical behaviour).
-            self._reachable_cache.clear()
-            self._neighbors_cache.clear()
-
-    def _distance(self, a: str, b: str) -> float:
-        """World distance memoized until either endpoint moves."""
-        key = (a, b) if a <= b else (b, a)
-        cached = self._distances.get(key)
-        if cached is not None:
-            return cached
-        cached = self.world.distance_between(a, b)
-        self._distances[key] = cached
-        if self._incremental:
-            index = self._dist_index
-            for node_id in key:
-                bucket = index.get(node_id)
-                if bucket is None:
-                    bucket = index[node_id] = set()
-                bucket.add(key)
-        return cached
+        self._neighbors_cache.pop((device_id, technology_name), None)
+        self._evict_node(device_id)
 
     # -- attachment ------------------------------------------------------
 
@@ -267,7 +191,6 @@ class Medium:
         adapter._medium = self
         self._adapters[key] = adapter
         self._by_technology.setdefault(technology.name, {})[device_id] = None
-        self._techs_of.setdefault(device_id, []).append(technology.name)
         if technology.range_m is not None:
             # Keep grid cells at least one radio range wide so a
             # neighbour disc overlaps a bounded number of cells.
@@ -276,29 +199,9 @@ class Medium:
         return adapter
 
     def detach(self, device_id: str, technology_name: str) -> None:
-        """Remove an adapter (device powered the radio off).
-
-        Sweeps the device's stale cache entries as it goes: verdicts
-        for this technology always, and — once its *last* adapter is
-        gone — its memoized distances too.  Without this, churn-heavy
-        runs (shard-border ghosts detach constantly) grow ``_distances``
-        with pairs no live query will ever touch again.
-        """
+        """Remove an adapter (device powered the radio off)."""
         del self._adapters[(device_id, technology_name)]
         del self._by_technology[technology_name][device_id]
-        techs = self._techs_of[device_id]
-        techs.remove(technology_name)
-        self._neighbors_cache.pop((device_id, technology_name), None)
-        keys = self._reach_index.get(device_id)
-        if keys:
-            cache = self._reachable_cache
-            stale = [key for key in keys if key[2] == technology_name]
-            for key in stale:
-                cache.pop(key, None)
-                keys.discard(key)
-        if not techs:
-            del self._techs_of[device_id]
-            self._evict_node(device_id)
         self._adapter_changed(device_id, technology_name)
 
     def adapter(self, device_id: str, technology_name: str) -> Adapter | None:
@@ -319,8 +222,6 @@ class Medium:
         # a scenario-setup event, so a full drop is fine.
         self._reachable_cache.clear()
         self._reach_index.clear()
-        if not self._incremental:
-            self._neighbors_cache.clear()
 
     def has_gateway(self, technology_name: str) -> bool:
         """Whether the wide-area technology has infrastructure."""
@@ -342,15 +243,12 @@ class Medium:
             return cached
         verdict = self._compute_reachable(a, b, technology_name)
         self._reachable_cache[key] = verdict
-        if self._incremental:
-            # Brute-force mode clears caches wholesale, so the
-            # per-node eviction indexes would be dead weight there.
-            index = self._reach_index
-            for node_id in (a, b):
-                bucket = index.get(node_id)
-                if bucket is None:
-                    bucket = index[node_id] = set()
-                bucket.add(key)
+        index = self._reach_index
+        for node_id in (a, b):
+            bucket = index.get(node_id)
+            if bucket is None:
+                bucket = index[node_id] = set()
+            bucket.add(key)
         return verdict
 
     def _compute_reachable(self, a: str, b: str, technology_name: str) -> bool:
@@ -365,9 +263,17 @@ class Medium:
         technology = adapter_a.technology
         if technology.needs_gateway:
             return technology_name in self._gateways
-        if a not in self.world or b not in self.world:
+        node_a = self._world_nodes.get(a)
+        node_b = self._world_nodes.get(b)
+        if node_a is None or node_b is None:
             return False
-        return technology.in_range(self._distance(a, b))
+        range_m = technology.range_m
+        if range_m is None:
+            return True
+        # The neighbour kernels' exact predicate, operand for operand.
+        dx = node_b.position.x - node_a.position.x
+        dy = node_b.position.y - node_a.position.y
+        return dx * dx + dy * dy <= range_m * range_m
 
     def link_quality(self, a: str, b: str, technology_name: str) -> float:
         """Quality in [0, 1] of the a<->b link; 0 when unreachable."""
@@ -376,7 +282,7 @@ class Medium:
         technology = self._adapters[(a, technology_name)].technology
         if technology.range_m is None:
             return 1.0
-        return technology.link_quality(self._distance(a, b))
+        return technology.link_quality(self.world.distance_between(a, b))
 
     def neighbors(self, device_id: str, technology_name: str) -> list[str]:
         """Device ids reachable from ``device_id`` over the technology.
@@ -392,65 +298,52 @@ class Medium:
         # ``None`` doubles as the wide-area marker: gateway-bridged
         # technologies ignore geometry even when they quote a range.
         local_range = None if technology.needs_gateway else technology.range_m
+        stamp: int | tuple[int, int]
         if local_range is None:
             stamp = (self._tech_epoch.get(technology_name, 0),
                      self._gateway_epoch)
         elif device_id not in self._world_nodes:
             return []  # off-map device: nothing in radio range
-        elif (self._vector and len(self._by_technology[technology_name])
-                >= self._vector_min):
-            # Vectorized regime: listings come from whole-population
-            # sweeps stamped with the topology version (a bare int —
-            # never equal to the tuple stamps of the scalar paths, so
-            # regime switches self-invalidate).  A version hit costs
-            # one dict probe and one slice; any topology change bumps
-            # the version and the next read triggers one batched
-            # re-sweep that refreshes everybody.
-            version = self._topology_version
-            entry = self._neighbors_cache.get((device_id, technology_name))
-            if entry is not None and entry[1] == version:
-                span = entry[0]
-                return self._sweep_flat[technology_name][span[0]:span[1]]
-            self._vector_sweep(technology_name, local_range)
-            entry = self._neighbors_cache.get((device_id, technology_name))
-            if entry is None:  # pragma: no cover - guarded above
-                return []
-            span = entry[0]
-            return self._sweep_flat[technology_name][span[0]:span[1]]
         else:
-            stamp = self.world.region_stamp(device_id, local_range)
+            stamp = self._topology_version
         key = (device_id, technology_name)
         entry = self._neighbors_cache.get(key)
-        if entry is not None and entry[1] == stamp:
-            return list(entry[0])
-        if local_range is None or not self._incremental:
+        if entry is not None and entry[3] == stamp:
+            return entry[0][entry[1]:entry[2]]
+        roster = self._by_technology[technology_name]
+        if local_range is None:
             listing = sorted(
-                other for other in self._by_technology.get(technology_name, ())
+                other for other in roster
                 if other != device_id
                 and self.reachable(device_id, other, technology_name))
+        elif (len(roster) >= self._vector_min
+                and self._sweep(technology_name, local_range)):
+            # One batched sweep refreshed the whole roster's listings.
+            entry = self._neighbors_cache[key]
+            return entry[0][entry[1]:entry[2]]
         else:
-            # Grid-backed: the world already limited candidates to the
-            # radio disc (sorted), so only adapter power needs checking.
+            # The world limits candidates to the radio disc (sorted),
+            # so only adapter power needs checking.
             adapters = self._adapters
             listing = []
-            for node in self.world.nodes_within(device_id, technology.range_m):
+            for node in self.world.nodes_within(device_id, local_range):
                 other = adapters.get((node.node_id, technology_name))
                 if other is not None and other._enabled:
                     listing.append(node.node_id)
-        self._neighbors_cache[key] = (listing, stamp)
-        return list(listing)
+        self._neighbors_cache[key] = (listing, 0, len(listing), stamp)
+        return listing[:]
 
-    def _vector_sweep(self, technology_name: str, radius: float) -> None:
+    def _sweep(self, technology_name: str, radius: float) -> bool:
         """Recompute every device's listing for one technology at once.
 
-        Populates ``_neighbors_cache`` with ``((start, end), version)``
-        spans into a shared flat neighbour list — the cache shape the
-        scalar path uses, with the span standing in for the listing and
-        the topology version for the region stamp.  Listings are
-        bit-identical to the scalar path's: candidates come from cell
-        bucketing (over-approximate, harmless) and membership from the
-        exact squared-distance comparison ``nodes_within`` applies.
+        Fills ``_neighbors_cache`` with spans into one shared flat
+        neighbour list, stamped with the topology version.  Returns
+        ``False`` — leaving this version to the scalar kernel — when
+        :func:`~repro.radio.sweep.sweep_pairs` declines the batch.
         """
+        version = self._topology_version
+        if self._sweep_declined.get(technology_name) == version:
+            return False
         roster_epoch = self._tech_epoch.get(technology_name, 0)
         memo = self._sorted_roster.get(technology_name)
         if memo is not None and memo[0] == roster_epoch:
@@ -459,23 +352,22 @@ class Medium:
             roster = sorted(self._by_technology[technology_name])
             self._sorted_roster[technology_name] = (roster_epoch, roster)
         adapters = self._adapters
-        world = self.world
         nodes = self._world_nodes
         ids = [device_id for device_id in roster
                if adapters[(device_id, technology_name)]._enabled
                and device_id in nodes]
-        grid = world.grid
-        assert grid is not None  # _vector requires the spatial grid
-        xs, ys = world.positions_of(ids)
-        starts, flat_index = _sweep.sweep_pairs(
-            xs, ys, radius, grid.cell_size)
+        xs, ys = _sweep.positions_array(nodes, ids)
+        pairs = _sweep.sweep_pairs(xs, ys, radius, self.world.grid.cell_size)
+        if pairs is None:
+            self._sweep_declined[technology_name] = version
+            return False
+        starts, flat_index = pairs
         flat = [ids[index] for index in flat_index]
-        self._sweep_flat[technology_name] = flat
-        version = self._topology_version
         cache = self._neighbors_cache
         for index, device_id in enumerate(ids):
             cache[(device_id, technology_name)] = (
-                (starts[index], starts[index + 1]), version)
+                flat, starts[index], starts[index + 1], version)
+        return True
 
     def record_transfer(self, device_id: str, technology_name: str,
                         nbytes: int) -> None:

@@ -1,23 +1,21 @@
-"""Vectorized per-epoch neighbour sweeps (numpy).
+"""Vectorized whole-population neighbour sweeps (numpy).
 
-The scalar discovery path answers "who is near device d?" one device
-at a time: per scan it gathers the grid cells the radio disc overlaps,
-filters candidates by exact squared distance and sorts the survivors.
-At crowd scale (n >= 1024) thousands of scans repeat that walk per
-epoch even though *positions only change at movement ticks* — between
-ticks every scan re-derives the same topology.
+The scalar kernel (:meth:`repro.mobility.world.World.nodes_within`)
+answers "who is near device d?" one device at a time.  At crowd scale
+thousands of scans repeat that walk per topology version even though
+positions only change at movement ticks.  This module answers the
+question for *every* device in one shot: positions are batched into
+float64 arrays, candidate pairs come from a dense cell-occupancy table
+(bincount + cumsum + pure gathers), and one elementwise pass applies
+the exact ``dx*dx + dy*dy <= radius*radius`` comparison every kernel
+uses.  IEEE-754 arithmetic is deterministic elementwise, so the
+listings are *bit-identical* to the scalar ones; the brute-force
+referee lives in ``tests/oracles.py``.
 
-This module answers the question for *every* device in one shot: all
-positions are batched into float64 arrays, candidate pairs are
-generated from a dense cell-occupancy table (bincount + cumsum + pure
-gathers — no per-candidate binary search), and a single elementwise
-pass applies the exact same ``dx*dx + dy*dy <= radius*radius``
-comparison the scalar path uses
-(:meth:`repro.mobility.world.World.nodes_within`).  IEEE-754
-arithmetic is deterministic elementwise, so the resulting listings are
-*bit-identical* to the scalar ones — the lockstep property test in
-``tests/test_vector_sweep.py`` and the sharded equivalence gate both
-referee this.
+:class:`repro.radio.medium.Medium` picks the kernel by roster size
+(``VECTOR_SWEEP_MIN_DEVICES``), and takes the scalar kernel whenever
+:func:`sweep_pairs` declines a batch whose dense cell table would
+exceed ``_DENSE_CELL_CAP`` (a sparse population over a wide world).
 
 The cell bucketing here is only a candidate generator: cell indexes
 are derived with :func:`numpy.floor_divide`, whose rare edge rounding
@@ -25,30 +23,17 @@ may disagree with the grid's ``int(x // size)`` by one cell, so the
 search reach carries one guard ring.  Candidates never affect output
 — the exact distance mask does — so the guard ring costs a little
 masking work and buys unconditional correctness.
-
-``numpy`` is an optional dependency: :func:`available` gates every
-caller, and ``REPRO_VECTOR_SWEEP=0`` restores the scalar path even
-when numpy is importable (see :mod:`repro.radio.medium`).
 """
 
 from __future__ import annotations
 
 import math
 
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is present in CI
-    _np = None  # type: ignore[assignment]
+import numpy as _np
 
-#: Dense cell tables above this size fall back to the (slower but
-#: memory-proportional-to-occupancy) sorted-key path — only reachable
-#: with a degenerate bounds/cell-size ratio.
+#: Largest dense cell table :func:`sweep_pairs` builds; a batch whose
+#: populated bounding box needs more cells is declined (``None``).
 _DENSE_CELL_CAP = 1 << 22
-
-
-def available() -> bool:
-    """Whether the vectorized sweep can run on this interpreter."""
-    return _np is not None
 
 
 def sweep_pairs(xs, ys, radius: float, cell_size: float):
@@ -65,10 +50,9 @@ def sweep_pairs(xs, ys, radius: float, cell_size: float):
         ``(starts, flat)`` where ``flat[starts[i]:starts[i + 1]]`` holds
         the indices of device ``i``'s in-range neighbours in ascending
         index order (self excluded).  Both are plain Python lists so
-        callers never box numpy scalars on their hot path.
+        callers never box numpy scalars on their hot path.  ``None``
+        when the dense cell table would exceed ``_DENSE_CELL_CAP``.
     """
-    if _np is None:  # pragma: no cover - callers gate on available()
-        raise RuntimeError("numpy is not available")
     n = xs.shape[0]
     if n == 0:
         return [0], []
@@ -86,10 +70,8 @@ def sweep_pairs(xs, ys, radius: float, cell_size: float):
     min_cy = int(cy.min())
     ncy = int(cy.max()) - min_cy + 1 + 2 * reach
     ncx = int(cx.max()) - min_cx + 1 + 2 * reach
-    if ncx * ncy > _DENSE_CELL_CAP:  # pragma: no cover - degenerate geometry
-        raise ValueError(
-            f"cell table {ncx}x{ncy} exceeds the dense sweep cap; "
-            f"disable the vector sweep (REPRO_VECTOR_SWEEP=0)")
+    if ncx * ncy > _DENSE_CELL_CAP:
+        return None
     lin = (cx - (min_cx - reach)) * ncy + (cy - (min_cy - reach))
     # Stable sort by cell: within a cell, candidates keep ascending
     # device index, which *is* the scalar path's sorted-id order.
@@ -149,8 +131,6 @@ def sweep_pairs(xs, ys, radius: float, cell_size: float):
 
 def positions_array(nodes, ids):
     """Batch node positions into float64 arrays in ``ids`` order."""
-    if _np is None:  # pragma: no cover - callers gate on available()
-        raise RuntimeError("numpy is not available")
     n = len(ids)
     xs = _np.empty(n, dtype=_np.float64)
     ys = _np.empty(n, dtype=_np.float64)

@@ -9,8 +9,9 @@ A :class:`ShardSim` owns a slice of the global simulation:
   so clamping arithmetic is identical everywhere) populated with the
   shard's *owned* devices plus *ghost* replicas of border devices
   owned by other shards;
-* a private :class:`~repro.radio.medium.Medium` whose region-stamped
-  neighbour cache serves this shard's scans.
+* a private :class:`~repro.radio.medium.Medium` whose neighbour
+  cache, stamped with the medium's topology version, serves this
+  shard's scans.
 
 Ghosts are full replicas: their mobility models advance through the
 same tick schedule and the same float arithmetic as the owner's copy,

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.mobility import Point
+from repro.mobility import Point, Rect, World
 from repro.radio import (
     BLUETOOTH,
     BluetoothAdapter,
@@ -18,6 +18,7 @@ from repro.radio import (
     all_technologies,
     wlan_standards_table,
 )
+from tests.oracles import reference_neighbors
 
 
 class TestTechnology:
@@ -257,6 +258,34 @@ class TestGprsGateway:
         gateway.relay_time(500_000)
         assert gateway.total_cost() == pytest.approx(
             GPRS.transfer_cost(1_000_000))
+
+
+class TestRangeBoundary:
+    """``reachable`` and ``neighbors`` share one range predicate.
+
+    Each pair sits where ``hypot(dx, dy) <= r`` and
+    ``dx*dx + dy*dy <= r*r`` disagree; discovery and connection must
+    still give one answer, the oracle's.
+    """
+
+    @pytest.mark.parametrize("technology, a, b", [
+        (BLUETOOTH, (141.73727628392976, 74.87390999498398),
+         (139.95515935517668, 65.03398828532329)),
+        (WLAN, (224.938506687382, 253.4642668164389),
+         (284.55230660090956, 260.26094687878555)),
+    ])
+    def test_reachable_agrees_with_neighbors(self, env, technology, a, b):
+        world = World(env, bounds=Rect(0.0, 0.0, 300.0, 300.0))
+        medium = Medium(world)
+        for node_id, (x, y) in (("a", a), ("b", b)):
+            world.add_node(node_id, Point(x, y))
+            medium.attach(node_id, technology)
+        in_range = bool(reference_neighbors(
+            [a[0], b[0]], [a[1], b[1]], technology.range_m)[0])
+        for one, other in (("a", "b"), ("b", "a")):
+            assert medium.reachable(one, other, technology.name) is in_range
+            assert (other in medium.neighbors(one, technology.name)) \
+                is in_range
 
 
 class TestMediumCaching:

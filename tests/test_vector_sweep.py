@@ -1,20 +1,19 @@
-"""Vectorized medium sweeps vs the scalar path — lockstep oracle.
+"""Both neighbour kernels vs the brute-force oracle.
 
-The numpy whole-population sweep (:mod:`repro.radio.sweep`) must
-produce listings *bit-identical* to the scalar region-stamped path:
-same neighbours, same order, across arbitrary interleavings of moves,
-adapter toggles and detaches.  The tests drive a vectorized medium and
-a scalar medium (``REPRO_VECTOR_SWEEP=0``) through identical operation
-streams and compare every listing after every operation, and check the
-kernel itself against a brute-force O(n^2) oracle.
+The medium serves local-radio listings from the scalar kernel
+(``World.nodes_within`` per device) below ``Medium._vector_min`` devices
+and from the numpy whole-population sweep (:mod:`repro.radio.sweep`)
+at or above it.  Each test forces a kernel through that attribute and
+referees it against ``tests/oracles.py``: same neighbours, same order,
+across arbitrary interleavings of moves, adapter toggles and detaches.
+The ``sweep_pairs`` kernel itself is refereed the same way.
 """
 
 from __future__ import annotations
 
-import os
 import random
-from contextlib import contextmanager
 
+import numpy
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,17 +21,16 @@ from hypothesis import strategies as st
 from repro.mobility.geometry import Point, Rect
 from repro.mobility.world import World
 from repro.radio import sweep
-from repro.radio.medium import (Medium, vector_sweep_enabled,
-                                VECTOR_SWEEP_MIN_DEVICES)
+from repro.radio.medium import Medium, VECTOR_SWEEP_MIN_DEVICES
 from repro.radio.standards import BLUETOOTH, WLAN
 from repro.simenv import Environment
-
-pytestmark = pytest.mark.skipif(not sweep.available(),
-                                reason="numpy not available")
+from tests.oracles import expected_listings, reference_neighbors
 
 BOUNDS = Rect(0.0, 0.0, 300.0, 300.0)
 NODE_IDS = tuple(f"n{i:02d}" for i in range(12))
 TECHNOLOGIES = (BLUETOOTH, WLAN)
+#: ``Medium._vector_min`` values that force each kernel.
+SWEEP, SCALAR = 1, 1 << 30
 
 coords = st.floats(min_value=0.0, max_value=300.0,
                    allow_nan=False, allow_infinity=False)
@@ -48,14 +46,11 @@ operations = st.lists(
     min_size=1, max_size=25)
 
 
-def _build(monkeypatch_env: dict[str, str]) -> tuple[World, Medium]:
-    env = Environment(seed=7)
-    world = World(env, bounds=BOUNDS)
+def _build(vector_min: int = VECTOR_SWEEP_MIN_DEVICES,
+           seed: int = 3) -> tuple[World, Medium]:
+    world = World(Environment(seed=7), bounds=BOUNDS)
     medium = Medium(world)
-    return world, medium
-
-
-def _populate(world: World, medium: Medium, seed: int = 3) -> None:
+    medium._vector_min = vector_min
     rng = random.Random(seed)
     with world.batch():
         for node_id in NODE_IDS:
@@ -63,130 +58,120 @@ def _populate(world: World, medium: Medium, seed: int = 3) -> None:
                                           rng.uniform(0, 300)))
             for technology in TECHNOLOGIES:
                 medium.attach(node_id, technology)
+    return world, medium
 
 
-def _listings(medium: Medium) -> dict[tuple[str, str], list[str]]:
-    return {(node_id, technology.name):
-            medium.neighbors(node_id, technology.name)
-            for node_id in NODE_IDS for technology in TECHNOLOGIES}
+def _assert_matches_oracle(world: World, medium: Medium) -> None:
+    for technology in TECHNOLOGIES:
+        expected = expected_listings(world, medium, technology)
+        for node_id in NODE_IDS:
+            assert medium.neighbors(node_id, technology.name) \
+                == expected[node_id]
+
+
+@pytest.fixture
+def sweeps(monkeypatch) -> list[int]:
+    """Counts ``sweep_pairs`` calls (the batch size of each)."""
+    calls: list[int] = []
+    real = sweep.sweep_pairs
+
+    def counting(xs, ys, radius, cell_size):
+        calls.append(len(xs))
+        return real(xs, ys, radius, cell_size)
+
+    monkeypatch.setattr(sweep, "sweep_pairs", counting)
+    return calls
 
 
 class TestEscapeHatch:
-    def test_vector_sweep_enabled_by_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_VECTOR_SWEEP", raising=False)
-        assert vector_sweep_enabled()
+    """Roster size against ``Medium._vector_min`` picks the kernel;
+    tests move the threshold to force one."""
 
-    def test_escape_hatch_disables(self, monkeypatch):
-        monkeypatch.setenv("REPRO_VECTOR_SWEEP", "0")
-        assert not vector_sweep_enabled()
+    def test_scalar_medium_never_sweeps(self, sweeps):
+        world, medium = _build(SCALAR)
+        _assert_matches_oracle(world, medium)
+        assert sweeps == []
 
-    def test_scalar_medium_never_sweeps(self, monkeypatch):
-        monkeypatch.setenv("REPRO_VECTOR_SWEEP", "0")
-        monkeypatch.setenv("REPRO_VECTOR_SWEEP_MIN", "1")
-        world, medium = _build({})
-        _populate(world, medium)
-        assert not medium._vector
-        _listings(medium)
-        assert medium._sweep_flat == {}
-
-    def test_threshold_gates_small_populations(self, monkeypatch):
-        monkeypatch.delenv("REPRO_VECTOR_SWEEP", raising=False)
-        monkeypatch.delenv("REPRO_VECTOR_SWEEP_MIN", raising=False)
-        world, medium = _build({})
-        _populate(world, medium)
+    def test_threshold_gates_small_populations(self, sweeps):
+        world, medium = _build()
         assert len(NODE_IDS) < VECTOR_SWEEP_MIN_DEVICES
-        _listings(medium)
+        _assert_matches_oracle(world, medium)
         # Below the threshold the scalar path serves everything.
-        assert medium._sweep_flat == {}
+        assert sweeps == []
 
-    def test_auto_enables_at_threshold(self, monkeypatch):
-        monkeypatch.delenv("REPRO_VECTOR_SWEEP", raising=False)
-        monkeypatch.setenv("REPRO_VECTOR_SWEEP_MIN", str(len(NODE_IDS)))
-        world, medium = _build({})
-        _populate(world, medium)
-        assert medium._vector
-        _listings(medium)
-        # At or above the threshold every local technology is served by
-        # whole-population sweeps, no opt-in required.
-        assert set(medium._sweep_flat) == {t.name for t in TECHNOLOGIES}
-
-
-@contextmanager
-def _media_pair():
-    """A vectorized and a scalar medium, freshly populated alike.
-
-    Plain environment-variable juggling instead of ``monkeypatch`` —
-    hypothesis forbids function-scoped fixtures inside ``@given``.
-    """
-    saved = {name: os.environ.get(name)
-             for name in ("REPRO_VECTOR_SWEEP", "REPRO_VECTOR_SWEEP_MIN")}
-    try:
-        os.environ["REPRO_VECTOR_SWEEP_MIN"] = "1"
-        os.environ.pop("REPRO_VECTOR_SWEEP", None)
-        vec_world, vec_medium = _build({})
-        assert vec_medium._vector
-        os.environ["REPRO_VECTOR_SWEEP"] = "0"
-        scal_world, scal_medium = _build({})
-        assert not scal_medium._vector
-        _populate(vec_world, vec_medium)
-        _populate(scal_world, scal_medium)
-        yield vec_world, vec_medium, scal_world, scal_medium
-    finally:
-        for name, value in saved.items():
-            if value is None:
-                os.environ.pop(name, None)
-            else:
-                os.environ[name] = value
+    def test_auto_enables_at_threshold(self, sweeps):
+        world, medium = _build(len(NODE_IDS))
+        _assert_matches_oracle(world, medium)
+        # At or above the threshold each local technology is served by
+        # one whole-population sweep per topology version.
+        assert sweeps == [len(NODE_IDS)] * len(TECHNOLOGIES)
 
 
 class TestLockstep:
-    """Vectorized and scalar media, identical operation streams."""
+    """Each kernel, the oracle, identical operation streams."""
 
     @settings(max_examples=60, deadline=None)
     @given(ops=operations)
     def test_arbitrary_interleavings_identical(self, ops):
-        with _media_pair() as (vec_world, vec_medium,
-                               scal_world, scal_medium):
-            self._drive(ops, vec_world, vec_medium, scal_world, scal_medium)
+        for vector_min in (SWEEP, SCALAR):
+            world, medium = _build(vector_min)
+            _assert_matches_oracle(world, medium)
+            for kind, node_id, *rest in ops:
+                if kind == "move":
+                    world.move_node(node_id, Point(*rest))
+                else:
+                    adapter = medium.adapter(node_id, rest[0])
+                    if adapter is None:
+                        continue  # already detached
+                    if kind == "toggle":
+                        adapter.enabled = not adapter.enabled
+                    else:
+                        medium.detach(node_id, rest[0])
+                _assert_matches_oracle(world, medium)
 
-    def _drive(self, ops, vec_world, vec_medium, scal_world, scal_medium):
-        assert _listings(vec_medium) == _listings(scal_medium)
-        detached: set[tuple[str, str]] = set()
-        for op in ops:
-            if op[0] == "move":
-                _, node_id, x, y = op
-                vec_world.move_node(node_id, Point(x, y))
-                scal_world.move_node(node_id, Point(x, y))
-            elif op[0] == "toggle":
-                _, node_id, technology_name = op
-                if (node_id, technology_name) in detached:
-                    continue
-                for medium in (vec_medium, scal_medium):
-                    adapter = medium.adapter(node_id, technology_name)
-                    adapter.enabled = not adapter.enabled
-            else:
-                _, node_id, technology_name = op
-                if (node_id, technology_name) in detached:
-                    continue
-                detached.add((node_id, technology_name))
-                vec_medium.detach(node_id, technology_name)
-                scal_medium.detach(node_id, technology_name)
-            vec = {key: listing for key, listing
-                   in _listings(vec_medium).items() if key not in detached}
-            scal = {key: listing for key, listing
-                    in _listings(scal_medium).items() if key not in detached}
-            assert vec == scal
+    def test_repeat_reads_are_cached_spans(self, sweeps):
+        world, medium = _build(SWEEP)
+        _assert_matches_oracle(world, medium)
+        assert sweeps  # the vector path actually ran
+        done = len(sweeps)
+        _assert_matches_oracle(world, medium)
+        assert len(sweeps) == done  # no topology change: no re-sweep
 
-    def test_repeat_reads_are_cached_spans(self):
-        with _media_pair() as (_, vec_medium, _, scal_medium):
-            first = _listings(vec_medium)
-            sweeps_done = len(vec_medium._sweep_flat)
-            assert sweeps_done  # the vector path actually ran
-            assert _listings(vec_medium) == first == _listings(scal_medium)
+
+class TestDenseCap:
+    """A roster too sparse for the dense cell table takes the scalar
+    kernel instead of failing."""
+
+    def test_sparse_wide_world_takes_scalar_kernel(self):
+        count = VECTOR_SWEEP_MIN_DEVICES
+        world = World(Environment(seed=7),
+                      bounds=Rect(0.0, 0.0, 60000.0, 60000.0))
+        medium = Medium(world)
+        rng = random.Random(11)
+        ids = [f"s{i:03d}" for i in range(count)]
+        with world.batch():
+            for node_id in ids:
+                world.add_node(node_id, Point(rng.uniform(0, 60000),
+                                              rng.uniform(0, 60000)))
+                medium.attach(node_id, BLUETOOTH)
+        # Pin a few pairs inside radio range so the listings are not
+        # all empty.
+        for i in range(0, 8, 2):
+            anchor = world.node(ids[i]).position
+            world.move_node(ids[i + 1], Point(anchor.x + 3.0, anchor.y))
+        positions = [world.node(node_id).position for node_id in ids]
+        xs = numpy.array([p.x for p in positions])
+        ys = numpy.array([p.y for p in positions])
+        assert sweep.sweep_pairs(xs, ys, BLUETOOTH.range_m,
+                                 world.grid.cell_size) is None
+        expected = expected_listings(world, medium, BLUETOOTH)
+        assert any(expected.values())
+        for node_id in ids:
+            assert medium.neighbors(node_id, "bluetooth") == expected[node_id]
 
 
 class TestSweepKernel:
-    """sweep_pairs against a brute-force O(n^2) oracle."""
+    """sweep_pairs against the brute-force O(n^2) oracle."""
 
     @settings(max_examples=40, deadline=None)
     @given(points=st.lists(st.tuples(coords, coords),
@@ -196,32 +181,25 @@ class TestSweepKernel:
            cell_size=st.floats(min_value=1.0, max_value=80.0,
                                allow_nan=False, allow_infinity=False))
     def test_matches_brute_force(self, points, radius, cell_size):
-        numpy = pytest.importorskip("numpy")
         xs = numpy.array([x for x, _ in points], dtype=numpy.float64)
         ys = numpy.array([y for _, y in points], dtype=numpy.float64)
         starts, flat = sweep.sweep_pairs(xs, ys, radius, cell_size)
-        n = len(points)
-        assert len(starts) == n + 1
-        r2 = radius * radius
-        for i in range(n):
-            expected = [j for j in range(n)
-                        if j != i
-                        and ((xs[j] - xs[i]) ** 2
-                             + (ys[j] - ys[i]) ** 2) <= r2]
-            assert flat[starts[i]:starts[i + 1]] == expected
+        expected = reference_neighbors(xs, ys, radius)
+        assert len(starts) == len(points) + 1
+        for i, listing in enumerate(expected):
+            assert flat[starts[i]:starts[i + 1]] == listing
 
     def test_empty_population(self):
-        numpy = pytest.importorskip("numpy")
         starts, flat = sweep.sweep_pairs(
             numpy.empty(0), numpy.empty(0), 10.0, 25.0)
         assert starts == [0]
         assert flat == []
 
     def test_positions_array_order(self):
-        env = Environment()
-        world = World(env, bounds=BOUNDS)
+        world = World(Environment(), bounds=BOUNDS)
         world.add_node("b", Point(1.0, 2.0))
         world.add_node("a", Point(3.0, 4.0))
-        xs, ys = world.positions_of(["a", "b"])
+        nodes = {node.node_id: node for node in world}
+        xs, ys = sweep.positions_array(nodes, ["a", "b"])
         assert list(xs) == [3.0, 1.0]
         assert list(ys) == [4.0, 2.0]
